@@ -81,12 +81,11 @@ pub mod cache;
 pub mod chaos;
 pub mod client;
 pub mod journal;
-pub mod persist;
 pub mod proto;
 pub mod server;
 
 pub use chaos::ChaosConfig;
 pub use client::{Client, RetryPolicy, SimError, SweepOutcome};
-pub use persist::CacheLine;
+pub use journal::CacheLine;
 pub use proto::{Request, Response, SimRequest, SimResult, StatsSnapshot};
 pub use server::{PersistOptions, ServeConfig, Server, ServerHandle};

@@ -366,8 +366,8 @@ pub struct StatsSnapshot {
     /// expired `deadline_ms`, the shutdown cancel flag, or the
     /// per-job cycle cap.
     pub cancelled_jobs: u64,
-    /// Malformed cache entries skipped (with a warning) while seeding
-    /// from `--cache-load`, the journal snapshot, or the journal tail.
+    /// Frame-intact but undecodable records skipped (with a warning)
+    /// while replaying the journal snapshot and tail at startup.
     pub cache_load_skipped: u64,
     /// Records appended to the write-ahead journal since startup.
     pub journal_records: u64,

@@ -20,8 +20,8 @@
 //! Every job executes inside `catch_unwind`: a request that panics the
 //! simulator is answered as a structured [`Response::Error`] and the
 //! shard keeps serving (`shard.<n>.panics`). If a shard thread dies
-//! anyway, its supervisor respawns it — re-seeded from the persistence
-//! seed — bumping `shard.<n>.respawns` and flipping the
+//! anyway, its supervisor respawns it — re-seeded from the state
+//! recovered at startup — bumping `shard.<n>.respawns` and flipping the
 //! `shard.<n>.alive` gauge while the shard is down; the job queue
 //! itself survives the crash (the receiver is owned by the
 //! supervisor), so only the job executing at the moment of death is
@@ -65,8 +65,7 @@ use oov_core::{AbortReason, RunBudget, SimArena};
 
 use crate::cache::SuiteCache;
 use crate::chaos::{ChaosConfig, JobFault};
-use crate::journal::{self, JournalConfig, JournalCounters, JournalWriter};
-use crate::persist::{self, CacheLine};
+use crate::journal::{self, CacheLine, JournalConfig, JournalCounters, JournalWriter};
 use crate::proto::{Request, Response, SimRequest, SimResult, StatsSnapshot};
 
 /// How often parked connection threads re-check the shutdown flag.
@@ -159,7 +158,7 @@ struct Engine {
     /// budget (deadline, shutdown cancel, or the cycle cap).
     cancelled_jobs: Arc<oov_obs::Counter>,
     /// `cache.load_skipped` — malformed entries skipped (with a
-    /// warning) while loading the dump, snapshot and journal.
+    /// warning) while replaying the journal snapshot and tail.
     cache_load_skipped: Arc<oov_obs::Counter>,
     /// `journal.appended_records` — records durably appended to the
     /// write-ahead journal.
@@ -362,20 +361,16 @@ fn elapsed_ns(start: Instant) -> u64 {
 /// plus the per-shard size bound.
 #[derive(Debug, Default, Clone)]
 pub struct PersistOptions {
-    /// Seed the shard result caches from this dump at startup.
-    pub load: Option<PathBuf>,
-    /// Write every shard's result cache to this path at shutdown.
-    pub dump: Option<PathBuf>,
     /// Maximum result-cache entries **per shard** (`--cache-entries`).
     /// `None` (the default) keeps the caches unbounded; with a cap,
-    /// the least-recently-used entry is evicted on overflow, so
-    /// persistence dumps and long loadgen runs cannot grow without
-    /// limit.
+    /// the least-recently-used entry is evicted on overflow, so a
+    /// long-running daemon or loadgen run cannot grow without limit.
     pub max_entries: Option<usize>,
-    /// Write-ahead journal path (`--journal`). Every cache insert is
-    /// appended (batched, checksummed, fsynced) so a crash loses at
-    /// most the final in-flight batch; startup replays
-    /// `<journal>.snapshot` plus the journal tail on top of `load`.
+    /// Write-ahead journal path (`--journal`), the only persistence
+    /// mechanism. Every cache insert is appended (batched,
+    /// checksummed, fsynced) so a crash loses at most the final
+    /// in-flight batch; startup replays `<journal>.snapshot`, then the
+    /// journal tail on top.
     pub journal: Option<PathBuf>,
     /// Journal rotation threshold in bytes (`--journal-max-bytes`);
     /// past it the writer snapshots the full state and truncates the
@@ -448,7 +443,6 @@ struct ShardCache {
 
 struct ShardCacheEntry {
     key: u64,
-    machine_fp: u64,
     result: SimResult,
     prev: usize,
     next: usize,
@@ -504,10 +498,9 @@ impl ShardCache {
 
     /// Inserts `key`, evicting the least-recently-used entry when at
     /// the cap. Returns `true` if an entry was evicted.
-    fn insert(&mut self, key: u64, machine_fp: u64, result: SimResult) -> bool {
+    fn insert(&mut self, key: u64, result: SimResult) -> bool {
         if let Some(&slot) = self.map.get(&key) {
             // Overwrite in place and touch.
-            self.slots[slot].machine_fp = machine_fp;
             self.slots[slot].result = result;
             if self.head != slot {
                 self.unlink(slot);
@@ -527,7 +520,6 @@ impl ShardCache {
         };
         let entry = ShardCacheEntry {
             key,
-            machine_fp,
             result,
             prev: NO_SLOT,
             next: NO_SLOT,
@@ -545,23 +537,6 @@ impl ShardCache {
         self.map.insert(key, slot);
         self.push_front(slot);
         evicted
-    }
-
-    fn into_lines(self) -> Vec<CacheLine> {
-        // Walk the recency list so only live slots are emitted (the
-        // free list may hold stale evicted entries).
-        let mut lines = Vec::with_capacity(self.map.len());
-        let mut slot = self.head;
-        while slot != NO_SLOT {
-            let e = &self.slots[slot];
-            lines.push(CacheLine {
-                key: e.key,
-                machine_fp: e.machine_fp,
-                result: e.result.clone(),
-            });
-            slot = e.next;
-        }
-        lines
     }
 }
 
@@ -584,10 +559,10 @@ impl Server {
         Self::start_cfg(addr, n_shards, ServeConfig::default())
     }
 
-    /// As [`Server::start`], optionally seeding the shard result
-    /// caches from a dump and/or dumping them at shutdown. Entries
-    /// are re-routed by request fingerprint at load, so a dump taken
-    /// with one shard count loads correctly into any other.
+    /// As [`Server::start`], with a result-cache size bound and/or a
+    /// write-ahead journal. Recovered entries are re-routed by request
+    /// fingerprint, so a journal written with one shard count restores
+    /// correctly into any other.
     ///
     /// # Errors
     ///
@@ -614,10 +589,12 @@ impl Server {
     /// The full-configuration entry point: persistence, admission
     /// caps, drain budget and chaos injection.
     ///
-    /// A missing or unloadable `persist.load` file (including a dump
-    /// from a build with an older `SimStats` schema) starts the server
-    /// **cold** with a warning instead of refusing to start — losing
-    /// a cache must never take the service down.
+    /// An unreadable snapshot or journal, or records from a build with
+    /// an older `SimStats` schema, start the server with whatever could
+    /// be recovered and a warning instead of refusing to start; an
+    /// unreadable journal also turns journaling off for the run, so the
+    /// file is left untouched — losing durability must never take the
+    /// service down.
     ///
     /// # Errors
     ///
@@ -631,53 +608,16 @@ impl Server {
         if cfg.chaos.is_some() {
             install_quiet_shard_panic_hook();
         }
-        // Recover persistent state in layers, each overriding the one
-        // below: the `--cache-load` seed, then the journal's snapshot
-        // (what compaction last parked), then the journal tail (every
-        // insert since). Keyed by request fingerprint, so a key that
-        // appears in several layers resolves to its newest result.
-        let mut state: HashMap<u64, CacheLine> = HashMap::new();
-        let mut load_skipped = 0u64;
-        if let Some(path) = &cfg.persist.load {
-            match persist::load(path) {
-                Ok((entries, skipped)) => {
-                    load_skipped += skipped;
-                    for entry in entries {
-                        state.insert(entry.key, entry);
-                    }
-                }
-                Err(e) => {
-                    eprintln!("oov-serve: cache load failed ({e}); starting cold");
-                }
-            }
-        }
-        let mut journal_intact_bytes = 0u64;
-        let mut journal_recovered = 0u64;
-        if let Some(jpath) = &cfg.persist.journal {
-            let snap = journal::snapshot_path(jpath);
-            if snap.exists() {
-                match persist::load(&snap) {
-                    Ok((entries, skipped)) => {
-                        load_skipped += skipped;
-                        for entry in entries {
-                            state.insert(entry.key, entry);
-                        }
-                    }
-                    Err(e) => {
-                        eprintln!("oov-serve: journal snapshot load failed ({e}); skipping it");
-                    }
-                }
-            }
-            let rec = journal::recover(jpath);
-            journal_intact_bytes = rec.intact_bytes;
-            journal_recovered = rec.entries.len() as u64;
-            load_skipped += rec.skipped;
-            for entry in rec.entries {
-                state.insert(entry.key, entry);
-            }
-        }
+        // Recover the journal's snapshot, then its tail on top, keyed
+        // by request fingerprint so the newest result for a key wins.
+        let restored = cfg
+            .persist
+            .journal
+            .as_deref()
+            .map(journal::restore)
+            .unwrap_or_default();
         let mut seeds: Vec<Vec<CacheLine>> = (0..n_shards).map(|_| Vec::new()).collect();
-        for mut entry in state.values().cloned() {
+        for mut entry in restored.state.values().cloned() {
             // Same routing as `dispatch`: the full request
             // fingerprint, so live lookups find the seeds.
             let shard = (entry.key % n_shards as u64) as usize;
@@ -687,10 +627,10 @@ impl Server {
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
         let engine = Arc::new(Engine::new(n_shards, &cfg));
-        engine.cache_load_skipped.add(load_skipped);
-        engine.journal_recovered.add(journal_recovered);
-        let journal_writer = match &cfg.persist.journal {
-            Some(jpath) => {
+        engine.cache_load_skipped.add(restored.skipped);
+        engine.journal_recovered.add(restored.tail_records);
+        let journal_writer = match (&cfg.persist.journal, restored.tail_intact_bytes) {
+            (Some(jpath), Some(intact_bytes)) => {
                 let jcfg = JournalConfig {
                     path: jpath.clone(),
                     max_bytes: cfg
@@ -703,20 +643,20 @@ impl Server {
                     appended_bytes: Arc::clone(&engine.journal_appended_bytes),
                     rotations: Arc::clone(&engine.journal_rotations),
                 };
-                match JournalWriter::start(jcfg, state, journal_intact_bytes, counters) {
+                match JournalWriter::start(jcfg, restored.state, intact_bytes, counters) {
                     Ok(writer) => {
                         let _ = engine.journal_tx.set(writer.sender());
                         Some(writer)
                     }
                     Err(e) => {
-                        // Like an unloadable dump: losing durability
-                        // must not take the service down.
+                        // Losing durability must not take the service
+                        // down.
                         eprintln!("oov-serve: {e}; journaling disabled");
                         None
                     }
                 }
             }
-            None => None,
+            _ => None,
         };
 
         let mut senders = Vec::with_capacity(n_shards);
@@ -765,7 +705,6 @@ impl Server {
             acceptor,
             workers: supervisors,
             engine,
-            dump: cfg.persist.dump,
             journal: journal_writer,
         })
     }
@@ -775,9 +714,8 @@ impl Server {
 pub struct ServerHandle {
     local_addr: SocketAddr,
     acceptor: JoinHandle<()>,
-    workers: Vec<JoinHandle<Vec<CacheLine>>>,
+    workers: Vec<JoinHandle<()>>,
     engine: Arc<Engine>,
-    dump: Option<PathBuf>,
     journal: Option<JournalWriter>,
 }
 
@@ -805,10 +743,7 @@ impl ServerHandle {
 
     /// Joins every server thread; returns once the server has shut
     /// down (via [`ServerHandle::stop`] or a client's `shutdown`
-    /// request). If the server was started with a dump path, every
-    /// shard's result cache is written there before returning; a
-    /// shard whose supervisor died is warned about by id and counted
-    /// in the dump summary as lost.
+    /// request) and the journal, if any, has fsynced its final batch.
     pub fn join(self) {
         let _ = self.acceptor.join();
         // Connection threads exit within `READ_POLL` of the flag; the
@@ -816,45 +751,16 @@ impl ServerHandle {
         // threads) is gone. Drop our engine reference first so no
         // sender can outlive the join below.
         drop(self.engine);
-        let mut entries: Vec<CacheLine> = Vec::new();
-        let mut shards_lost = 0usize;
         for (shard, w) in self.workers.into_iter().enumerate() {
-            match w.join() {
-                Ok(shard_entries) => entries.extend(shard_entries),
-                Err(_) => {
-                    shards_lost += 1;
-                    eprintln!(
-                        "oov-serve: shard {shard} supervisor died; \
-                         its result cache is lost"
-                    );
-                }
+            if w.join().is_err() {
+                eprintln!("oov-serve: shard {shard} supervisor panicked");
             }
-        }
-        let mut dumped = false;
-        if let Some(path) = &self.dump {
-            // Deterministic file order regardless of shard count.
-            entries.sort_by_key(|e| e.key);
-            if let Err(e) = persist::save(path, &entries) {
-                eprintln!("oov-serve: cache dump failed: {e}");
-            } else {
-                dumped = true;
-                eprintln!(
-                    "oov-serve: dumped {} cached results to {} ({shards_lost} shards lost)",
-                    entries.len(),
-                    path.display()
-                );
-            }
-        } else if shards_lost > 0 {
-            eprintln!("oov-serve: {shards_lost} shard caches lost at shutdown");
         }
         if let Some(writer) = self.journal {
-            // Every sender is gone by now (the engine reference above
-            // was the last), so the writer drains and exits. After a
-            // successful dump the journal's contents are redundant —
-            // truncate so the next start replays only the dump. With
-            // no dump (or a failed one) the journal stays: it IS the
-            // durable state.
-            writer.finish(dumped);
+            // The journal senders go with the last engine reference, so
+            // the writer drains and exits. The journal stays in place:
+            // it is the durable state.
+            writer.finish();
         }
     }
 }
@@ -890,17 +796,16 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
 }
 
 /// Shard supervisor: spawns the worker thread and respawns it —
-/// re-seeded from the persistence seed — whenever it dies. Returns the
-/// final incarnation's cache lines once the job channel closes (clean
-/// shutdown). The job queue lives in `rx`, owned here, so a crash
-/// loses only the job that was executing.
+/// re-seeded from the recovered state — whenever it dies. Returns once
+/// the job channel closes (clean shutdown). The job queue lives in
+/// `rx`, owned here, so a crash loses only the job that was executing.
 fn supervise(
     shard: usize,
     seed: &Arc<Vec<CacheLine>>,
     max_entries: Option<usize>,
     rx: &Arc<Mutex<mpsc::Receiver<Job>>>,
     engine: &Arc<Engine>,
-) -> Vec<CacheLine> {
+) {
     loop {
         let worker_seed = Arc::clone(seed);
         let worker_rx = Arc::clone(rx);
@@ -913,19 +818,19 @@ fn supervise(
             Err(e) => {
                 eprintln!("oov-serve: shard {shard}: worker spawn failed: {e}");
                 engine.alive[shard].set(0);
-                return Vec::new();
+                return;
             }
         };
         engine.alive[shard].set(1);
         match handle.join() {
-            Ok(lines) => return lines,
+            Ok(()) => return,
             Err(_) => {
                 // The worker died outside the job-level catch_unwind.
                 engine.alive[shard].set(0);
                 engine.panics[shard].inc();
                 if engine.is_shutting_down() {
-                    eprintln!("oov-serve: shard {shard} died during shutdown; its cache is lost");
-                    return Vec::new();
+                    eprintln!("oov-serve: shard {shard} died during shutdown");
+                    return;
                 }
                 engine.respawns[shard].inc();
                 eprintln!(
@@ -940,9 +845,8 @@ fn supervise(
 
 /// Shard main loop: execute (or answer from cache) one request at a
 /// time. The cache is private to the shard — the fingerprint router
-/// guarantees no other shard ever sees the same request — and is
-/// returned when the job channel closes, so shutdown can persist it
-/// without any locking on the hot path. With a `max_entries` cap, the
+/// guarantees no other shard ever sees the same request — so the hot
+/// path takes no lock. With a `max_entries` cap, the
 /// cache evicts its least-recently-used entry on overflow. Each job's
 /// service time (hit or simulated miss) lands in the shard's
 /// `service_ns` histogram.
@@ -958,7 +862,7 @@ fn worker(
     max_entries: Option<usize>,
     rx: &Mutex<mpsc::Receiver<Job>>,
     engine: &Engine,
-) -> Vec<CacheLine> {
+) {
     // A previous incarnation may have died holding the lock; the
     // queue itself is still intact, so clear the poison and resume.
     let rx = rx.lock().unwrap_or_else(|p| p.into_inner());
@@ -969,8 +873,8 @@ fn worker(
     let mut arena = SimArena::new();
     for e in seed.iter().cloned() {
         // Seeding through the same entry point applies the cap to an
-        // oversized dump too (later lines win, matching file order).
-        if cache.insert(e.key, e.machine_fp, e.result) {
+        // oversized recovered state too.
+        if cache.insert(e.key, e.result) {
             engine.result_evictions.inc();
         }
     }
@@ -1004,7 +908,6 @@ fn worker(
         // A dropped reply receiver just means the client went away.
         let _ = job.reply.send((job.tag, reply));
     }
-    cache.into_lines()
 }
 
 /// Answers one job: deadline and drain checks, cache lookup, then
@@ -1074,7 +977,7 @@ fn run_job(
                 cached: false,
                 shard,
             };
-            if cache.insert(fp, req.machine.fingerprint(), r.clone()) {
+            if cache.insert(fp, r.clone()) {
                 engine.result_evictions.inc();
             }
             // Write-ahead append: one non-blocking send to the journal
@@ -1465,15 +1368,15 @@ mod tests {
     #[test]
     fn lru_evicts_least_recently_used_in_order() {
         let mut c = ShardCache::new(Some(2));
-        assert!(!c.insert(1, 10, result(1)));
-        assert!(!c.insert(2, 20, result(2)));
+        assert!(!c.insert(1, result(1)));
+        assert!(!c.insert(2, result(2)));
         // Touch 1 so 2 becomes the LRU victim.
         assert_eq!(c.get(1).unwrap().stats.cycles, 1);
-        assert!(c.insert(3, 30, result(3)), "must evict at the cap");
+        assert!(c.insert(3, result(3)), "must evict at the cap");
         assert!(c.get(2).is_none(), "2 was the LRU entry");
         assert_eq!(keys_mru_to_lru(&c), vec![3, 1]);
         // Evicted slot is recycled, list stays consistent.
-        assert!(c.insert(4, 40, result(4)));
+        assert!(c.insert(4, result(4)));
         assert_eq!(keys_mru_to_lru(&c), vec![4, 3]);
         assert_eq!(c.slots.len(), 2, "slots are recycled, not grown");
     }
@@ -1481,28 +1384,29 @@ mod tests {
     #[test]
     fn lru_overwrite_touches_without_evicting() {
         let mut c = ShardCache::new(Some(2));
-        c.insert(1, 10, result(1));
-        c.insert(2, 20, result(2));
-        assert!(!c.insert(1, 11, result(100)), "overwrite never evicts");
-        assert_eq!(c.get(1).unwrap().stats.cycles, 100);
+        c.insert(1, result(1));
+        c.insert(2, result(2));
+        assert!(!c.insert(1, result(100)), "overwrite never evicts");
         assert_eq!(keys_mru_to_lru(&c), vec![1, 2]);
-        let mut lines = c.into_lines();
-        lines.sort_by_key(|l| l.key);
-        assert_eq!(lines.len(), 2);
-        assert_eq!(lines[0].machine_fp, 11);
+        // Both keys stay resident; the overwrite replaced the result.
+        assert_eq!(c.get(1).unwrap().stats.cycles, 100);
+        assert_eq!(c.get(2).unwrap().stats.cycles, 2);
+        assert_eq!(c.map.len(), 2);
     }
 
     #[test]
     fn lru_unbounded_and_single_entry_caps() {
         let mut c = ShardCache::new(None);
         for k in 0..64 {
-            assert!(!c.insert(k, k, result(k)));
+            assert!(!c.insert(k, result(k)));
         }
-        assert_eq!(c.into_lines().len(), 64);
+        for k in 0..64 {
+            assert_eq!(c.get(k).unwrap().stats.cycles, k, "unbounded keeps all");
+        }
         // A zero cap behaves as "cache one entry".
         let mut one = ShardCache::new(Some(0));
-        assert!(!one.insert(1, 1, result(1)));
-        assert!(one.insert(2, 2, result(2)));
+        assert!(!one.insert(1, result(1)));
+        assert!(one.insert(2, result(2)));
         assert!(one.get(1).is_none());
         assert_eq!(one.get(2).unwrap().stats.cycles, 2);
     }

@@ -10,7 +10,8 @@ use oov_kernels::{Program, Scale};
 use oov_proto::Json;
 use oov_ref::RefSim;
 use oov_serve::{
-    Client, PersistOptions, Request, Response, Server, SimRequest, SimResult, StatsSnapshot,
+    journal, Client, PersistOptions, Request, Response, Server, SimRequest, SimResult,
+    StatsSnapshot,
 };
 use oov_stats::SimStats;
 
@@ -437,15 +438,22 @@ fn metrics_snapshot_matches_server_activity() {
     server.join();
 }
 
-/// Cache persistence across a full server restart: a server dumps its
-/// result caches at shutdown; a fresh server — with a *different*
-/// shard count, so routing is recomputed — loads them and answers the
-/// same requests as cache hits, bit-identical, without simulating or
-/// compiling anything.
+/// Cache persistence across a clean server restart: a journaled
+/// server shuts down cleanly; a fresh server on the same journal —
+/// with a *different* shard count, so routing is recomputed — answers
+/// the same requests as cache hits, bit-identical, without simulating
+/// or compiling anything. The journal alone holds every record after a
+/// clean stop: shutdown neither compacts nor truncates it.
 #[test]
 fn result_caches_survive_a_restart() {
-    let dump = std::env::temp_dir().join(format!("oov_serve_cache_{}.json", std::process::id()));
-    let _ = std::fs::remove_file(&dump);
+    let jpath = std::env::temp_dir().join(format!("oov_serve_restart_{}.wal", std::process::id()));
+    let snap = journal::snapshot_path(&jpath);
+    let _ = std::fs::remove_file(&jpath);
+    let _ = std::fs::remove_file(&snap);
+    let journaled = || PersistOptions {
+        journal: Some(jpath.clone()),
+        ..PersistOptions::default()
+    };
     let points = [
         SimRequest::ooo_default(Program::Trfd, Scale::Smoke),
         SimRequest::ooo_default(Program::Dyfesm, Scale::Smoke),
@@ -459,17 +467,8 @@ fn result_caches_survive_a_restart() {
         },
     ];
 
-    // Phase 1: cold server simulates everything, dumps at shutdown.
-    let server = Server::start_with(
-        "127.0.0.1:0",
-        3,
-        PersistOptions {
-            load: None,
-            dump: Some(dump.clone()),
-            ..PersistOptions::default()
-        },
-    )
-    .expect("server start");
+    // Phase 1: cold server simulates everything, then stops cleanly.
+    let server = Server::start_with("127.0.0.1:0", 3, journaled()).expect("server start");
     let addr = server.addr();
     let mut client = Client::connect(addr).expect("connect");
     let cold: Vec<SimResult> = points
@@ -482,17 +481,16 @@ fn result_caches_survive_a_restart() {
         .shutdown()
         .expect("shutdown");
     server.join();
-    assert!(dump.exists(), "no cache dump written");
+    let tail = journal::recover(&jpath).expect("journal readable");
+    assert_eq!(tail.entries.len(), points.len(), "journal lost records");
+    assert_eq!(tail.truncated_bytes, 0);
+    assert!(!snap.exists(), "a clean stop must not compact");
 
-    // Phase 2: warm server answers everything from the loaded cache.
+    // Phase 2: warm server answers everything from the journal.
     let server = Server::start_with(
         "127.0.0.1:0",
-        2, // different shard count: load must re-route
-        PersistOptions {
-            load: Some(dump.clone()),
-            dump: None,
-            ..PersistOptions::default()
-        },
+        2, // different shard count: recovery must re-route
+        journaled(),
     )
     .expect("warm server start");
     let addr = server.addr();
@@ -502,7 +500,7 @@ fn result_caches_survive_a_restart() {
         assert!(warm.cached, "warm server missed {:?}", req.program);
         assert_eq!(
             warm.stats, cold.stats,
-            "cached stats not bit-identical after the JSON round trip"
+            "cached stats not bit-identical after the journal round trip"
         );
         assert_eq!(warm.ideal_cycles, cold.ideal_cycles);
         assert_eq!(warm.faults_taken, cold.faults_taken);
@@ -512,6 +510,7 @@ fn result_caches_survive_a_restart() {
         .stats()
         .expect("stats");
     assert_eq!(stats.result_misses, 0, "warm server simulated something");
+    assert_eq!(stats.journal_recovered, points.len() as u64);
     assert_eq!(
         stats.suite_compiles_smoke + stats.suite_compiles_paper,
         0,
@@ -522,7 +521,8 @@ fn result_caches_survive_a_restart() {
         .shutdown()
         .expect("shutdown");
     server.join();
-    std::fs::remove_file(&dump).ok();
+    std::fs::remove_file(&jpath).ok();
+    std::fs::remove_file(&snap).ok();
 }
 
 /// The `--cache-entries` LRU cap: with one shard bounded to two
